@@ -22,7 +22,7 @@ use zcomp_sim::config::SimConfig;
 
 use crate::report::Table;
 use crate::serve::knee::{derive_slo, find_knee, KneeOpts, KneeOutcome, ServeCurve};
-use crate::serve::service::ServiceModel;
+use crate::serve::service::{ProfileTable, ServiceModel};
 use crate::serve::ServeConfig;
 use crate::supervise::{CellFailure, CellOutcome};
 use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
@@ -189,23 +189,37 @@ fn cell_config(model: ModelId, scheme: Scheme, max_batch: usize, p: &ServeParams
     cfg
 }
 
+/// One profile table per grid network, shared by that network's scheme
+/// cells for the length of one experiment call.
+fn profile_tables(grid: &ServeGridSpec) -> Vec<ProfileTable> {
+    grid.networks
+        .iter()
+        .map(|&(model, max_batch)| {
+            ProfileTable::new(&cell_config(model, Scheme::None, max_batch, &grid.params))
+        })
+        .collect()
+}
+
 /// Runs one (network, scheme) knee search. The SLO is derived from the
 /// *uncompressed* solo full-batch latency inside every cell — both scheme
 /// cells therefore hold to the identical bound, and each cell stays
-/// self-contained for the supervised sweep.
-fn run_cell(model: ModelId, max_batch: usize, params: &ServeParams, scheme: Scheme) -> ServeCurve {
+/// self-contained for the supervised sweep. The network's shared `table`
+/// prices the anchor once per call, not once per cell.
+fn run_cell(
+    model: ModelId,
+    max_batch: usize,
+    params: &ServeParams,
+    scheme: Scheme,
+    table: &ProfileTable,
+) -> ServeCurve {
     let base_cfg = cell_config(model, Scheme::None, max_batch, params);
-    let mut base_service = ServiceModel::for_network(&base_cfg);
+    let mut base_service = ServiceModel::with_table(&base_cfg, table);
     let (slo_ns, max_wait_ns) = derive_slo(&mut base_service, max_batch, params.slo_factor);
 
     let mut cfg = cell_config(model, scheme, max_batch, params);
     cfg.slo_ns = slo_ns;
     cfg.max_wait_ns = max_wait_ns;
-    let mut service = if scheme == Scheme::None {
-        base_service
-    } else {
-        ServiceModel::for_network(&cfg)
-    };
+    let mut service = ServiceModel::with_table(&cfg, table);
     let opts = KneeOpts {
         bisect_iters: params.bisect_iters,
         ..KneeOpts::default()
@@ -274,21 +288,32 @@ fn assemble(
     }
 }
 
-/// Runs the grid serially in-process (no supervision, no cache).
+/// Runs the grid serially in-process (no supervision, no cache beyond
+/// this call's own profile tables).
 pub fn run(grid: &ServeGridSpec) -> ServeResult {
+    run_with_tables(grid, &profile_tables(grid))
+}
+
+/// [`run`] on caller-provided tables, one per grid network.
+fn run_with_tables(grid: &ServeGridSpec, tables: &[ProfileTable]) -> ServeResult {
     let _span = zcomp_trace::tracer::span("experiment", "serve");
     let outcomes = grid
         .networks
         .iter()
-        .flat_map(|&(model, max_batch)| {
+        .zip(tables)
+        .flat_map(|(&(model, max_batch), table)| {
             SCHEMES.map(|scheme| CellOutcome::Completed {
-                value: run_cell(model, max_batch, &grid.params, scheme),
+                value: run_cell(model, max_batch, &grid.params, scheme, table),
                 attempts: 1,
             })
         })
         .collect();
     #[cfg(feature = "trace")]
     let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
+    #[cfg(feature = "trace")]
+    for table in tables {
+        table.record(&mut registry);
+    }
     assemble(
         grid,
         outcomes,
@@ -309,6 +334,7 @@ pub fn run_sweep(
     let _span = zcomp_trace::tracer::span("experiment", "serve-sweep");
     let fingerprint = config_fingerprint(&SimConfig::table1());
     let items = grid.networks.len() * SCHEMES.len();
+    let tables = profile_tables(grid);
     let cell_of = |idx: usize| {
         let (model, max_batch) = grid.networks[idx / SCHEMES.len()];
         (model, max_batch, SCHEMES[idx % SCHEMES.len()])
@@ -320,7 +346,8 @@ pub fn run_sweep(
     let params = grid.params;
     let make_job = |idx: usize| -> Box<dyn FnOnce() -> ServeCurve + Send + 'static> {
         let (model, max_batch, scheme) = cell_of(idx);
-        Box::new(move || run_cell(model, max_batch, &params, scheme))
+        let table = tables[idx / SCHEMES.len()].clone();
+        Box::new(move || run_cell(model, max_batch, &params, scheme, &table))
     };
     let run = run_cells("serve", items, fingerprint, opts, key_of, make_job)?;
 
@@ -331,6 +358,9 @@ pub fn run_sweep(
         registry.incr("serve.retries", run.report.retries);
         registry.incr("serve.resume_skips", run.report.resume_skips as u64);
         registry.incr("serve.quarantined", run.report.quarantined.len() as u64);
+        for table in &tables {
+            table.record(&mut registry);
+        }
         if let Some(fabric) = &run.report.fabric {
             registry.incr("fabric.claims", fabric.claims);
             registry.incr("fabric.reclaims", fabric.reclaims);
@@ -431,6 +461,28 @@ mod tests {
             serde_json::to_string(&reference.rows).unwrap(),
             serde_json::to_string(&sweep.result.rows).unwrap()
         );
+    }
+
+    #[test]
+    fn one_run_prices_each_profile_once() {
+        // The smoke grid's shape, served by ResNet-32 so the test prices
+        // in milliseconds rather than GoogLeNet's seconds.
+        let grid = ServeGridSpec {
+            networks: vec![(ModelId::Resnet32, 8)],
+            ..ServeGridSpec::smoke_grid()
+        };
+        let calls = || crate::serve::service::RUN_NETWORK_CALLS.with(std::cell::Cell::get);
+        let tables = profile_tables(&grid);
+        let before = calls();
+        run_with_tables(&grid, &tables);
+        // 2 schemes x 2 tenants x 1 epoch x padded 1/2/4/8.
+        assert_eq!(tables[0].len(), 2 * 2 * 4);
+        assert_eq!(tables[0].priced(), tables[0].len() as u64);
+        assert_eq!(calls() - before, tables[0].priced());
+
+        let before = calls();
+        run(&grid);
+        assert_eq!(calls() - before, tables[0].priced());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::serve::autoscale::AutoscaleConfig;
 use crate::serve::chaos::{ChaosConfig, DegradePolicy};
 use crate::serve::engine::{simulate, RatePoint};
 use crate::serve::knee::{derive_slo, find_knee, KneeOpts, ServeCurve};
-use crate::serve::service::ServiceModel;
+use crate::serve::service::{ProfileTable, ServiceModel};
 use crate::serve::slo::SloClass;
 use crate::serve::ServeConfig;
 use crate::supervise::{CellFailure, CellOutcome};
@@ -386,35 +386,39 @@ fn cell_config(p: &ChaosParams, scheme: Scheme) -> ServeConfig {
     cfg
 }
 
+/// The profile table one call shares across all of its cells: every
+/// cell config differs from the uncompressed one only in knobs pricing
+/// does not read.
+fn profile_table(p: &ChaosParams) -> ProfileTable {
+    ProfileTable::new(&cell_config(p, Scheme::None))
+}
+
 /// Derives the shared SLO and capacity anchor from the *uncompressed*
 /// node, exactly as the PR-8 serve experiment does, so every mode holds
-/// to the identical bound and offered rate.
-fn slo_and_offered(p: &ChaosParams) -> (u64, u64, f64, ServiceModel) {
+/// to the identical bound and offered rate. The anchor's profiles come
+/// from `table`, so only the first cell prices them.
+fn slo_and_offered(p: &ChaosParams, table: &ProfileTable) -> (u64, u64, f64) {
     let base_cfg = cell_config(p, Scheme::None);
-    let mut base_service = ServiceModel::for_network(&base_cfg);
+    let mut base_service = ServiceModel::with_table(&base_cfg, table);
     let (slo_ns, max_wait_ns) = derive_slo(&mut base_service, p.max_batch, p.slo_factor);
     let solo_s = base_service.solo_ns(0, 0, p.max_batch) as f64 / 1e9;
     let capacity = (base_cfg.instances * p.max_batch) as f64 / solo_s;
-    (
-        slo_ns,
-        max_wait_ns,
-        capacity * p.offered_fraction,
-        base_service,
-    )
+    (slo_ns, max_wait_ns, capacity * p.offered_fraction)
 }
 
 /// Runs one (fault rate, mode) grid cell.
-fn run_point_cell(p: &ChaosParams, fault_rate: f64, mode: ChaosMode) -> ChaosCell {
-    let (slo_ns, max_wait_ns, offered_qps, base_service) = slo_and_offered(p);
+fn run_point_cell(
+    p: &ChaosParams,
+    fault_rate: f64,
+    mode: ChaosMode,
+    table: &ProfileTable,
+) -> ChaosCell {
+    let (slo_ns, max_wait_ns, offered_qps) = slo_and_offered(p, table);
     let mut cfg = cell_config(p, mode.scheme());
     cfg.slo_ns = slo_ns;
     cfg.max_wait_ns = max_wait_ns;
     cfg.chaos = Some(chaos_config(p, fault_rate, mode.policy()));
-    let mut service = if mode.scheme() == Scheme::None {
-        base_service
-    } else {
-        ServiceModel::for_network(&cfg)
-    };
+    let mut service = ServiceModel::with_table(&cfg, table);
     ChaosCell {
         point: Some(simulate(&cfg, &mut service, offered_qps)),
         curve: None,
@@ -423,8 +427,8 @@ fn run_point_cell(p: &ChaosParams, fault_rate: f64, mode: ChaosMode) -> ChaosCel
 
 /// Runs one knee-comparison cell (fixed fleet or autoscaled), chaos on,
 /// degrade policy, at the mid-grid fault rate.
-fn run_knee_cell(p: &ChaosParams, autoscaled: bool) -> ChaosCell {
-    let (slo_ns, max_wait_ns, _, _) = slo_and_offered(p);
+fn run_knee_cell(p: &ChaosParams, autoscaled: bool, table: &ProfileTable) -> ChaosCell {
+    let (slo_ns, max_wait_ns, _) = slo_and_offered(p, table);
     let mut cfg = cell_config(p, Scheme::Zcomp);
     cfg.slo_ns = slo_ns;
     cfg.max_wait_ns = max_wait_ns;
@@ -440,7 +444,7 @@ fn run_knee_cell(p: &ChaosParams, autoscaled: bool) -> ChaosCell {
             ..AutoscaleConfig::default()
         });
     }
-    let mut service = ServiceModel::for_network(&cfg);
+    let mut service = ServiceModel::with_table(&cfg, table);
     let opts = KneeOpts {
         bisect_iters: p.bisect_iters,
         ..KneeOpts::default()
@@ -500,10 +504,12 @@ fn cell_key(grid: &ChaosGridSpec, idx: usize) -> String {
     }
 }
 
-fn run_cell(grid: &ChaosGridSpec, idx: usize) -> ChaosCell {
+fn run_cell(grid: &ChaosGridSpec, idx: usize, table: &ProfileTable) -> ChaosCell {
     match cell_of(grid, idx) {
-        CellSpec::Point { fault_rate, mode } => run_point_cell(&grid.params, fault_rate, mode),
-        CellSpec::Knee { autoscaled } => run_knee_cell(&grid.params, autoscaled),
+        CellSpec::Point { fault_rate, mode } => {
+            run_point_cell(&grid.params, fault_rate, mode, table)
+        }
+        CellSpec::Knee { autoscaled } => run_knee_cell(&grid.params, autoscaled, table),
     }
 }
 
@@ -557,17 +563,25 @@ fn assemble(
     }
 }
 
-/// Runs the grid serially in-process (no supervision, no cache).
+/// Runs the grid serially in-process (no supervision, no cache beyond
+/// this call's own profile table).
 pub fn run(grid: &ChaosGridSpec) -> ChaosResult {
+    run_with_table(grid, &profile_table(&grid.params))
+}
+
+/// [`run`] on a caller-provided table.
+fn run_with_table(grid: &ChaosGridSpec, table: &ProfileTable) -> ChaosResult {
     let _span = zcomp_trace::tracer::span("experiment", "serve_chaos");
     let outcomes = (0..grid.cell_count())
         .map(|idx| CellOutcome::Completed {
-            value: run_cell(grid, idx),
+            value: run_cell(grid, idx, table),
             attempts: 1,
         })
         .collect();
     #[cfg(feature = "trace")]
     let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
+    #[cfg(feature = "trace")]
+    table.record(&mut registry);
     assemble(
         grid,
         outcomes,
@@ -589,9 +603,12 @@ pub fn run_sweep(
     let fingerprint = config_fingerprint(&SimConfig::table1());
     let key_of = |idx: usize| cell_key(grid, idx);
     let grid_for_jobs = grid.clone();
+    let table = profile_table(&grid.params);
+    let table_for_jobs = table.clone();
     let make_job = move |idx: usize| -> Box<dyn FnOnce() -> ChaosCell + Send + 'static> {
         let grid = grid_for_jobs.clone();
-        Box::new(move || run_cell(&grid, idx))
+        let table = table_for_jobs.clone();
+        Box::new(move || run_cell(&grid, idx, &table))
     };
     let run = run_cells(
         "serve_chaos",
@@ -612,6 +629,7 @@ pub fn run_sweep(
             "serve_chaos.quarantined",
             run.report.quarantined.len() as u64,
         );
+        table.record(&mut registry);
     }
     let result = assemble(
         grid,
@@ -709,6 +727,32 @@ mod tests {
         assert!(sweep.result.quarantined.is_empty());
         crate::serve::determinism::require_byte_identical(reference, &sweep.result)
             .expect("sweep must match the serial run");
+    }
+
+    /// `run_network` calls made on this thread so far.
+    fn pricings() -> u64 {
+        crate::serve::service::RUN_NETWORK_CALLS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn one_run_prices_each_profile_once() {
+        let grid = tiny_grid();
+        let table = profile_table(&grid.params);
+        let before = pricings();
+        let result = run_with_table(&grid, &table);
+        // Two schemes (zcomp, plus none for the anchor, the uncompressed
+        // cells and the fallbacks) x 2 tenants x 1 epoch x padded 1/2/4.
+        assert_eq!(table.len(), 2 * 2 * 3);
+        assert_eq!(table.priced(), table.len() as u64);
+        assert_eq!(pricings() - before, table.priced());
+        assert!(table.lookups() > table.priced());
+        crate::serve::determinism::require_byte_identical(quick(), &result)
+            .expect("a shared table must not change the result");
+
+        // Nothing survives the call: a second run prices everything again.
+        let before = pricings();
+        run(&grid);
+        assert_eq!(pricings() - before, table.priced());
     }
 
     #[test]

@@ -81,6 +81,13 @@ pub mod names {
     /// Histogram: end-to-end latency of BestEffort-class requests,
     /// microseconds.
     pub const LATENCY_US_BEST_EFFORT: &str = "serve.latency_us.best_effort";
+    /// Counter: solo profiles one serving experiment call simulated
+    /// through `run_network` (recorded by the experiments, not per rate
+    /// point).
+    pub const PROFILES_PRICED: &str = "serve.profiles_priced";
+    /// Counter: profile lookups one serving experiment call served from
+    /// its profile table, hits and misses alike.
+    pub const PROFILE_LOOKUPS: &str = "serve.profile_lookups";
 }
 
 /// Span covering one simulated rate point (all events at one offered QPS).
@@ -88,7 +95,7 @@ pub fn rate_point_span() -> tracer::SpanGuard {
     tracer::span("serve", "rate_point")
 }
 
-/// Span covering one solo batch simulation feeding the service-time memo.
+/// Span covering one solo batch simulation feeding the profile table.
 pub fn profile_span() -> tracer::SpanGuard {
     tracer::span("serve", "profile_batch")
 }
