@@ -14,10 +14,11 @@ use zcomp_dnn::deepbench::{all_configs, Suite};
 fn main() {
     let args = SupervisedFigArgs::from_env();
     print_machine();
-    // Supervised serial sweep (no cache): identical numbers to the plain
-    // runner, but a panicking cell is quarantined instead of fatal. The
-    // shared run flags apply — `--fabric-dir`/`--workers` put the sweep
-    // on the multi-process lease fabric.
+    // Supervised sweep over every core: identical numbers to the plain
+    // serial runner, but a panicking cell is quarantined instead of
+    // fatal. The shared run flags apply — `--fabric-dir`/`--workers` put
+    // the sweep on the multi-process lease fabric, and `--resume` picks
+    // up a killed fabric run where it stopped.
     let siblings = spawn_fabric_workers(&args.run);
     let out = fig12::run_sweep(&all_configs(), args.fig.scale, 0.53, &args.sweep_opts())
         .unwrap_or_else(|e| sweep_error_exit(&e));

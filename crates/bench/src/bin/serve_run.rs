@@ -17,9 +17,9 @@
 //! knee comparison under chaos.
 //!
 //! Cells run under the supervised sweep runtime (`run_cells`): panic
-//! quarantine, retries, `--resume`, and the multi-process lease fabric
-//! via `--fabric-dir`/`--workers` all behave as in the other sweep
-//! binaries. Exit codes: 0 clean, 1 I/O error, 2 usage, 3 quarantined
+//! quarantine, retries, and the multi-process lease fabric via
+//! `--fabric-dir`/`--workers` (resumable with `--resume`) all behave as
+//! in the other sweep binaries. Exit codes: 0 clean, 1 I/O error, 2 usage, 3 quarantined
 //! cells, 4 fabric drained.
 //!
 //! `--smoke` runs the CI gate instead: the short smoke grid twice,
@@ -115,8 +115,8 @@ fn parse_args() -> Args {
             other => usage_exit(&format!("unknown argument: {other}")),
         }
     }
-    if out.run.workers > 1 && out.run.fabric_dir.is_none() {
-        usage_exit("--workers needs --fabric-dir");
+    if let Err(e) = out.run.validate() {
+        usage_exit(&e.to_string());
     }
     if out.quiet {
         zcomp_trace::log::set_level(zcomp_trace::log::Level::Off);

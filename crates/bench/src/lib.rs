@@ -19,7 +19,6 @@ use zcomp::fabric::FabricOpts;
 use zcomp::report::Table;
 use zcomp::supervise::SuperviseOpts;
 use zcomp::sweep::{SupervisionReport, SweepError, SweepOpts};
-use zcomp_replay::CacheMode;
 use zcomp_sim::config::SimConfig;
 
 /// A malformed command line: which argument, and what was wrong with it.
@@ -64,7 +63,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError
 /// The shared supervised-run and fabric flags, parsed once here instead
 /// of copy-pasted per binary:
 ///
-/// * `--resume` — skip cells the journal records as complete;
+/// * `--resume` — keep the fabric directory's journals and skip the
+///   cells they record as complete (needs `--fabric-dir`);
 /// * `--attempts <N>` — attempts per cell before quarantine;
 /// * `--deadline-ms <N>` — per-cell watchdog deadline (0 = none);
 /// * `--fabric-dir <path>` — join the multi-process lease fabric there;
@@ -73,7 +73,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError
 /// * `--workers <N>` — spawn N-1 sibling worker processes of this binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunFlags {
-    /// Skip cells the journal records as complete.
+    /// Keep the fabric directory and skip the cells its journals record
+    /// as complete.
     pub resume: bool,
     /// Attempts per cell before quarantine.
     pub attempts: u32,
@@ -148,9 +149,17 @@ impl RunFlags {
     }
 
     /// Cross-flag checks, called once the whole command line is parsed.
-    fn validate(&self) -> Result<(), CliError> {
-        if self.workers > 1 && self.fabric_dir.is_none() {
-            return Err(CliError::new("--workers needs --fabric-dir"));
+    /// Resume state lives only in the fabric journals, so `--resume`
+    /// (like `--workers`) is an error without `--fabric-dir`; a single
+    /// process resumes as a 1-worker fabric.
+    pub fn validate(&self) -> Result<(), CliError> {
+        if self.fabric_dir.is_none() {
+            if self.workers > 1 {
+                return Err(CliError::new("--workers needs --fabric-dir"));
+            }
+            if self.resume {
+                return Err(CliError::new("--resume needs --fabric-dir"));
+            }
         }
         Ok(())
     }
@@ -178,12 +187,10 @@ impl RunFlags {
         Some(fabric)
     }
 
-    /// Applies the supervision policy, resume flag and fabric membership
-    /// to a set of sweep options.
+    /// Applies the supervision policy and fabric membership to a set of
+    /// sweep options.
     pub fn apply(&self, opts: SweepOpts) -> SweepOpts {
-        let mut opts = opts
-            .with_supervise(self.supervise_opts())
-            .with_resume(self.resume);
+        let mut opts = opts.with_supervise(self.supervise_opts());
         if let Some(fabric) = self.fabric_opts() {
             opts = opts.with_fabric(fabric);
         }
@@ -327,142 +334,16 @@ impl SupervisedFigArgs {
         args
     }
 
-    /// The sweep options these arguments describe: serial cells (these
-    /// binaries parallelize inside a cell), the supervision policy, and
-    /// the fabric membership when `--fabric-dir` is given.
+    /// The sweep options these arguments describe: cells sharded over
+    /// every available core, the supervision policy, and the fabric
+    /// membership when `--fabric-dir` is given.
     pub fn sweep_opts(&self) -> SweepOpts {
-        self.run.apply(SweepOpts::serial())
-    }
-}
-
-/// Parsed command-line options of the trace capture/replay binaries
-/// (`capture_run`, `replay_run`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepArgs {
-    /// Which sweep: `fig12` or `fullnet`.
-    pub experiment: String,
-    /// Workload scale divisor (fig12: tensor sizes, fullnet: batches).
-    pub scale: usize,
-    /// Trace-cache directory.
-    pub traces: String,
-    /// Worker threads; 0 = one per core.
-    pub threads: usize,
-    /// Ignore cached traces and re-capture everything.
-    pub refresh: bool,
-    /// Replay, then verify against an in-process run (replay_run only).
-    pub verify: bool,
-    /// Benchmark cold/warm/parallel and write JSON here (replay_run only).
-    pub bench: Option<String>,
-    /// Write the sweep's scientific result as JSON here.
-    pub json: Option<String>,
-    /// The shared supervised-run / fabric flags.
-    pub run: RunFlags,
-    /// Silence the stderr logger.
-    pub quiet: bool,
-}
-
-impl SweepArgs {
-    /// Parses `std::env::args`-style arguments (without argv[0]).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<SweepArgs, CliError> {
-        let mut out = SweepArgs {
-            experiment: String::new(),
-            scale: 1,
-            traces: "results/traces".to_string(),
-            threads: 0,
-            refresh: false,
-            verify: false,
-            bench: None,
-            json: None,
-            run: RunFlags::default(),
-            quiet: false,
-        };
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            if out.run.accept(&arg, &mut it)? {
-                continue;
-            }
-            match arg.as_str() {
-                "--quick" => out.scale = 64,
-                "--scale" => {
-                    out.scale = parse_num("--scale", &value_of(&mut it, "--scale")?)?;
-                    if out.scale < 1 {
-                        return Err(CliError::new("--scale must be >= 1"));
-                    }
-                }
-                "--traces" => out.traces = value_of(&mut it, "--traces")?,
-                "--threads" => {
-                    out.threads = parse_num("--threads", &value_of(&mut it, "--threads")?)?;
-                }
-                "--refresh" => out.refresh = true,
-                "--verify" => out.verify = true,
-                "--bench" => out.bench = Some(value_of(&mut it, "--bench")?),
-                "--json" => out.json = Some(value_of(&mut it, "--json")?),
-                "--quiet" => out.quiet = true,
-                other if out.experiment.is_empty() && !other.starts_with('-') => {
-                    if other != "fig12" && other != "fullnet" {
-                        return Err(CliError::new(format!(
-                            "unknown experiment: {other} (expected fig12 or fullnet)"
-                        )));
-                    }
-                    out.experiment = other.to_string();
-                }
-                other => {
-                    return Err(CliError::new(format!(
-                        "unknown argument: {other} (expected fig12|fullnet, \
-                         --quick/--scale/--traces/--threads/--refresh/--verify/--bench/\
-                         --json/--quiet, {})",
-                        RunFlags::USAGE
-                    )))
-                }
-            }
-        }
-        if out.experiment.is_empty() {
-            return Err(CliError::new(
-                "missing experiment: expected fig12 or fullnet",
-            ));
-        }
-        out.run.validate()?;
-        Ok(out)
-    }
-
-    /// Parses the process arguments and applies the logging choice; a
-    /// malformed command line prints the error and exits with code 2.
-    pub fn from_env() -> SweepArgs {
-        let args = SweepArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e));
-        if args.quiet {
-            zcomp_trace::log::set_level(zcomp_trace::log::Level::Off);
-        }
-        args
-    }
-
-    /// Thread count with the 0-means-all-cores default resolved.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
-
-    /// The full sweep options these arguments describe: cache root and
-    /// mode, thread count, and the shared run flags (resume, supervision
-    /// policy, fabric membership).
-    pub fn sweep_opts(&self) -> SweepOpts {
-        self.run.apply(
-            SweepOpts::default()
-                .with_cache(&self.traces)
-                .with_threads(self.effective_threads())
-                .with_mode(if self.refresh {
-                    CacheMode::Refresh
-                } else {
-                    CacheMode::Auto
-                }),
-        )
+        self.run.apply(SweepOpts::default())
     }
 }
 
 /// Runs `items` cells serially under the supervised runtime — panic
-/// isolation and quarantine, no cache or journal — so one sick cell
+/// isolation and quarantine, no journal — so one sick cell
 /// cannot take down a whole figure. Prints quarantine details to stderr
 /// and returns the per-cell outcomes plus the process exit code the
 /// supervision contract demands (0 clean, 3 when cells were quarantined).
@@ -482,7 +363,7 @@ where
         {
             Ok(run) => run,
             Err(e) => {
-                // Unreachable without a cache root, but the contract stands.
+                // Unreachable without a fabric, but the contract stands.
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
@@ -678,74 +559,43 @@ mod tests {
         assert!(e.to_string().contains(">= 1"), "{e}");
     }
 
-    #[test]
-    fn sweep_args_defaults() {
-        let a = SweepArgs::parse(["fig12".to_string()]).unwrap();
-        assert_eq!(a.experiment, "fig12");
-        assert_eq!(a.scale, 1);
-        assert_eq!(a.traces, "results/traces");
-        assert_eq!(a.threads, 0);
-        assert!(a.effective_threads() >= 1);
-        assert!(!a.refresh && !a.verify && a.bench.is_none() && !a.quiet);
-        assert!(a.json.is_none());
-        assert_eq!(a.run, RunFlags::default());
-        assert!(a.run.fabric_opts().is_none());
+    fn supervised(args: &[&str]) -> Result<SupervisedFigArgs, CliError> {
+        SupervisedFigArgs::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn sweep_args_full() {
-        let a = SweepArgs::parse(
-            [
-                "fullnet",
-                "--scale",
-                "8",
-                "--traces",
-                "/tmp/t",
-                "--threads",
-                "4",
-                "--refresh",
-                "--verify",
-                "--bench",
-                "B.json",
-                "--json",
-                "R.json",
-                "--resume",
-                "--attempts",
-                "3",
-                "--deadline-ms",
-                "1500",
-                "--fabric-dir",
-                "/tmp/fab",
-                "--worker-id",
-                "w-a",
-                "--lease-ttl-ms",
-                "2000",
-                "--workers",
-                "3",
-                "--quiet",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+    fn supervised_fig_args_parse_both_flag_families() {
+        let a = supervised(&[
+            "--quick",
+            "--json",
+            "R.json",
+            "--resume",
+            "--attempts",
+            "3",
+            "--deadline-ms",
+            "1500",
+            "--fabric-dir",
+            "/tmp/fab",
+            "--worker-id",
+            "w-a",
+            "--lease-ttl-ms",
+            "2000",
+            "--workers",
+            "3",
+            "--quiet",
+        ])
         .unwrap();
-        assert_eq!(a.experiment, "fullnet");
-        assert_eq!(a.scale, 8);
-        assert_eq!(a.traces, "/tmp/t");
-        assert_eq!(a.effective_threads(), 4);
-        assert!(a.refresh && a.verify && a.quiet && a.run.resume);
-        assert_eq!(a.bench.as_deref(), Some("B.json"));
-        assert_eq!(a.json.as_deref(), Some("R.json"));
+        assert_eq!(a.fig.scale, 64);
+        assert_eq!(a.fig.json.as_deref(), Some("R.json"));
+        assert!(a.fig.quiet && a.run.resume);
         assert_eq!(a.run.attempts, 3);
         assert_eq!(a.run.deadline_ms, Some(1500));
-        assert_eq!(a.run.fabric_dir.as_deref(), Some("/tmp/fab"));
         assert_eq!(a.run.worker_id.as_deref(), Some("w-a"));
         assert_eq!(a.run.lease_ttl_ms, 2000);
         assert_eq!(a.run.workers, 3);
 
         let opts = a.sweep_opts();
-        assert_eq!(opts.threads, 4);
-        assert_eq!(opts.cache_mode, CacheMode::Refresh);
-        assert!(opts.resume);
+        assert_eq!(opts.threads, SweepOpts::default().threads);
         assert_eq!(opts.supervise.max_attempts, 3);
         assert_eq!(
             opts.supervise.deadline,
@@ -755,12 +605,14 @@ mod tests {
         assert_eq!(fabric.dir, std::path::PathBuf::from("/tmp/fab"));
         assert_eq!(fabric.worker, "w-a");
         assert_eq!(fabric.lease_ttl, std::time::Duration::from_millis(2000));
+
+        let e = supervised(&["--bogus"]).unwrap_err();
+        assert!(e.to_string().contains("unknown argument"), "{e}");
     }
 
     #[test]
     fn workers_flag_requires_a_fabric_dir() {
-        let e = SweepArgs::parse(["fig12", "--workers", "3"].iter().map(|s| s.to_string()))
-            .unwrap_err();
+        let e = supervised(&["--workers", "3"]).unwrap_err();
         assert!(
             e.to_string().contains("--workers needs --fabric-dir"),
             "{e}"
@@ -768,49 +620,16 @@ mod tests {
     }
 
     #[test]
-    fn supervised_fig_args_parse_both_flag_families() {
-        let a = SupervisedFigArgs::parse(
-            [
-                "--scale",
-                "256",
-                "--attempts",
-                "2",
-                "--fabric-dir",
-                "/tmp/fab",
-                "--workers",
-                "2",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert_eq!(a.fig.scale, 256);
-        assert_eq!(a.run.attempts, 2);
-        assert_eq!(a.run.workers, 2);
-        let opts = a.sweep_opts();
-        assert_eq!(opts.supervise.max_attempts, 2);
-        assert!(opts.fabric.is_some());
-
-        let e = SupervisedFigArgs::parse(["--bogus".to_string()]).unwrap_err();
-        assert!(e.to_string().contains("unknown argument"), "{e}");
+    fn resume_flag_requires_a_fabric_dir() {
+        let e = supervised(&["--quick", "--resume"]).unwrap_err();
+        assert!(e.to_string().contains("--resume needs --fabric-dir"), "{e}");
+        let a = supervised(&["--resume", "--fabric-dir", "/tmp/fab"]).unwrap();
+        assert!(a.run.resume && a.sweep_opts().fabric.is_some());
     }
 
     #[test]
-    fn sweep_args_reject_bad_experiment() {
-        let e = SweepArgs::parse(["fig99".to_string()]).unwrap_err();
-        assert!(e.to_string().contains("unknown experiment"), "{e}");
-    }
-
-    #[test]
-    fn sweep_args_require_experiment() {
-        let e = SweepArgs::parse(["--quick".to_string()]).unwrap_err();
-        assert!(e.to_string().contains("missing experiment"), "{e}");
-    }
-
-    #[test]
-    fn sweep_args_reject_zero_attempts() {
-        let e = SweepArgs::parse(["fig12", "--attempts", "0"].iter().map(|s| s.to_string()))
-            .unwrap_err();
+    fn zero_attempts_are_rejected() {
+        let e = supervised(&["--attempts", "0"]).unwrap_err();
         assert!(e.to_string().contains(">= 1"), "{e}");
     }
 }

@@ -5,9 +5,9 @@
 //! the real `fabric_top` / `fleet_report` binaries over it — including a
 //! stream whose tail is torn mid-write, the on-disk signature of a
 //! SIGKILLed worker. The `events`-gated test runs the real thing: three
-//! `capture_run` fabric workers, one SIGKILLed mid-sweep, and checks the
-//! dashboard JSON and the merged Perfetto timeline stay consistent with
-//! the journalled truth.
+//! `fig12_relu_deepbench` fabric workers, one SIGKILLed mid-sweep, and
+//! checks the dashboard JSON and the merged Perfetto timeline stay
+//! consistent with the journalled truth.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -216,11 +216,8 @@ fn killed_worker_fleet_stays_consistent_end_to_end() {
     use std::time::Duration;
     let dir = tmp_dir("e2e");
     let worker_cmd = |fabric: &Path, worker: &str| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_capture_run"));
-        cmd.arg("fig12")
-            .args(["--scale", "2048", "--threads", "2", "--quiet", "--resume"])
-            .arg("--traces")
-            .arg(dir.join(format!("traces-{worker}")))
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig12_relu_deepbench"));
+        cmd.args(["--scale", "512", "--quiet", "--resume"])
             .args(["--lease-ttl-ms", "500"])
             .arg("--fabric-dir")
             .arg(fabric)

@@ -350,9 +350,9 @@ pub fn run_config(cfg: &CampaignConfig) -> FaultCampaignResult {
 /// supervised sweep runtime ([`run_cells`]): a panicking or hung cell is
 /// retried per `opts.supervise` and, if it keeps failing, quarantined
 /// into the result's `quarantined` list with a zeroed placeholder cell —
-/// the rest of the campaign completes. With a cache root the cells are
-/// journalled for `opts.resume`, and with `opts.fabric` the campaign
-/// joins a multi-process lease fabric like the figure sweeps.
+/// the rest of the campaign completes. With `opts.fabric` the campaign
+/// joins a multi-process lease fabric like the figure sweeps, whose
+/// journals make it resumable.
 ///
 /// The clean control run stays *unsupervised*: if the baseline itself
 /// cannot run there is nothing meaningful to salvage, so that panic
@@ -381,7 +381,7 @@ pub fn run_config_supervised(
     // The fingerprint covers the whole campaign configuration, and the
     // cell key names the integrity policy: cells journalled by the
     // strong campaign can never be resumed into the weak one even when
-    // both share a fabric directory or cache root.
+    // both share a fabric directory.
     let fingerprint = campaign_fingerprint(cfg);
     let key_of = |idx: usize| {
         let (site, rate) = pairs[idx];

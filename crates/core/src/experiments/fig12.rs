@@ -12,17 +12,13 @@ use zcomp_dnn::deepbench::{all_configs, DeepBenchConfig};
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::relu::{run_relu, run_relu_with_path, ExecPath, ReluOpts, ReluScheme};
-use zcomp_replay::{
-    config_fingerprint, replay, CacheMode, TraceCache, TraceError, TraceKey, TraceMeta,
-};
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 use zcomp_sim::stats::PrefetchStats;
-use zcomp_trace::log_warn;
 
 use crate::report::{fmt_bytes, mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{config_fingerprint, run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// The three schemes in plotting order.
 pub const SCHEMES: [ReluScheme; 3] = [
@@ -302,27 +298,9 @@ pub fn run_configs_with_path(
     }
 }
 
-/// The trailer note persisted with every fig12 cell trace: the byte
-/// counts the replay driver cannot recover from the op stream alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CellNote {
-    output_bytes: u64,
-    uncompressed_bytes: u64,
-}
-
-impl CellNote {
-    fn compression_ratio(&self) -> f64 {
-        if self.output_bytes == 0 {
-            1.0
-        } else {
-            self.uncompressed_bytes as f64 / self.output_bytes as f64
-        }
-    }
-}
-
 /// What one supervised fig12 cell produces — the measured cell plus the
 /// prefetch counters the result aggregates. Serialized whole into the
-/// resume journal, so a restored cell is indistinguishable from an
+/// fabric journal, so a restored cell is indistinguishable from an
 /// executed one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Fig12CellRecord {
@@ -330,140 +308,61 @@ struct Fig12CellRecord {
     prefetch: PrefetchStats,
 }
 
-/// The cache/journal key of one (config, scheme) cell. Everything that
-/// determines the cell's op stream is folded in, so a key hit is safe to
-/// replay and a journal hit is safe to restore.
+/// The journal key of one (config, scheme) cell. Everything that
+/// determines the cell's result is folded in, so a journal hit is safe
+/// to restore.
 fn cell_key(
     config: &DeepBenchConfig,
     index: usize,
     scheme: ReluScheme,
     scale_divisor: usize,
     sparsity: f64,
-) -> TraceKey {
+) -> String {
     let elements = (config.elements / scale_divisor.max(1)).max(256);
     let seed = 0xF16_5EED ^ ((index as u64) << 8);
-    TraceKey::new(
-        "fig12",
-        format!(
-            "cfg={};scheme={scheme};elements={elements};sparsity={sparsity};seed={seed:#x};opts=default",
-            config.name
-        ),
+    format!(
+        "cfg={};scheme={scheme};elements={elements};sparsity={sparsity};seed={seed:#x};opts=default",
+        config.name
     )
 }
 
-/// Runs one (config, scheme) cell with the trace cache: replay on a valid
-/// hit, simulate-and-capture otherwise. Every cache failure — open,
-/// replay, capture, finish — degrades to plain in-process simulation.
+/// Simulates one (config, scheme) cell on a fresh Table-1 machine.
 fn sweep_cell(
-    cache: Option<&TraceCache>,
-    mode: CacheMode,
     config: &DeepBenchConfig,
     index: usize,
     scheme: ReluScheme,
     scale_divisor: usize,
     sparsity: f64,
-) -> (Fig12Cell, PrefetchStats) {
+) -> Fig12CellRecord {
     let elements = (config.elements / scale_divisor.max(1)).max(256);
     let seed = 0xF16_5EED ^ ((index as u64) << 8);
-    let sim_cfg = SimConfig::table1();
-    let fingerprint = config_fingerprint(&sim_cfg);
-    let key = cell_key(config, index, scheme, scale_divisor, sparsity);
-    if let Some(cache) = cache {
-        match mode {
-            CacheMode::Refresh => cache.evict(&key, fingerprint),
-            CacheMode::Auto => {
-                if let Some(mut reader) = cache.open(&key, fingerprint) {
-                    let mut machine = Machine::new(sim_cfg.clone(), UopTable::skylake_x());
-                    match replay(&mut reader, &mut machine) {
-                        Ok(outcome) => {
-                            let note = serde_json::from_str::<CellNote>(&outcome.note);
-                            if let (Some(window), Ok(note)) = (outcome.measured, note) {
-                                let cell = Fig12Cell {
-                                    scheme,
-                                    onchip_bytes: window.traffic.onchip_bytes(),
-                                    dram_bytes: window.traffic.dram_bytes,
-                                    cycles: window.cycles,
-                                    compression_ratio: note.compression_ratio(),
-                                };
-                                return (cell, outcome.summary.l2_prefetch);
-                            }
-                            log_warn!(
-                                "fig12 trace for [{}] lacks a window or note; re-capturing",
-                                key.cell
-                            );
-                            cache.quarantine_replay_failure(
-                                &key,
-                                fingerprint,
-                                "replayed clean but lacks a measurement window or note",
-                            );
-                        }
-                        Err(e) => {
-                            log_warn!("fig12 replay of [{}] failed ({e}); re-capturing", key.cell);
-                            if !matches!(e, TraceError::Io(_)) {
-                                cache.quarantine_replay_failure(&key, fingerprint, &e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Cache miss (or caching off): simulate, capturing when possible.
     let nnz = nnz_synthetic(elements, sparsity, 6.0, seed);
-    let mut machine = Machine::new(sim_cfg, UopTable::skylake_x());
-    let session =
-        cache.and_then(
-            |c| match c.begin_capture(&key, TraceMeta::for_config(machine.config())) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    log_warn!(
-                        "fig12 capture of [{}] cannot start ({e}); running uncached",
-                        key.cell
-                    );
-                    None
-                }
-            },
-        );
-    if let Some(s) = &session {
-        machine.set_observer(Some(s.observer()));
-    }
+    let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
     let result = run_relu(&mut machine, scheme, &nnz, &ReluOpts::default());
-    machine.set_observer(None);
-    if let Some(s) = session {
-        let note = serde_json::to_string(&CellNote {
-            output_bytes: result.output_bytes,
-            uncompressed_bytes: result.uncompressed_bytes,
-        })
-        .unwrap_or_default();
-        if let Err(e) = s.finish(&note) {
-            log_warn!("fig12 capture of [{}] failed ({e}); result kept", key.cell);
-        }
+    Fig12CellRecord {
+        cell: Fig12Cell {
+            scheme,
+            onchip_bytes: result.traffic.onchip_bytes(),
+            dram_bytes: result.traffic.dram_bytes,
+            cycles: result.total_cycles(),
+            compression_ratio: result.compression_ratio(),
+        },
+        prefetch: machine.summary().l2_prefetch,
     }
-    let cell = Fig12Cell {
-        scheme,
-        onchip_bytes: result.traffic.onchip_bytes(),
-        dram_bytes: result.traffic.dram_bytes,
-        cycles: result.total_cycles(),
-        compression_ratio: result.compression_ratio(),
-    };
-    (cell, machine.summary().l2_prefetch)
 }
 
-/// Runs the Figure 12 sweep sharded across threads with trace-cached,
-/// *supervised* cells; equivalent to [`run_configs`] cell for cell.
+/// Runs the Figure 12 sweep sharded across threads with *supervised*
+/// cells; equivalent to [`run_configs`] cell for cell.
 ///
-/// Cold cells simulate in-process (capturing a trace when a cache is
-/// configured); warm cells replay their cached trace, skipping workload
-/// generation. Every cell runs under the supervision policy in `opts`
-/// (panic isolation, optional watchdog deadline, deterministic retry);
-/// cells that exhaust their budget land in `quarantined` with a zeroed
-/// placeholder in their row slot instead of aborting the sweep. With a
-/// cache root configured, completed cells are journalled so
-/// `opts.resume` skips them on a re-run — the resumed result is
-/// byte-identical to an uninterrupted one. The merge is deterministic:
-/// results are assembled in config/scheme order regardless of which
-/// worker finished first.
+/// Every cell runs under the supervision policy in `opts` (panic
+/// isolation, optional watchdog deadline, deterministic retry); cells
+/// that exhaust their budget land in `quarantined` with a zeroed
+/// placeholder in their row slot instead of aborting the sweep. With
+/// `opts.fabric` set, completed cells are journalled under the fabric
+/// directory, so re-running against the same directory skips them — the
+/// resumed result is byte-identical to an uninterrupted one. The merge
+/// is deterministic: results are assembled in config/scheme order
+/// regardless of which worker finished first.
 pub fn run_sweep(
     configs: &[DeepBenchConfig],
     scale_divisor: usize,
@@ -471,7 +370,6 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<Fig12Result>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fig12-sweep");
-    let cache = opts.cache()?;
     let fingerprint = config_fingerprint(&SimConfig::table1());
     let items = configs.len() * SCHEMES.len();
     let key_of = |idx: usize| {
@@ -482,28 +380,14 @@ pub fn run_sweep(
             scale_divisor,
             sparsity,
         )
-        .cell
     };
     let make_job = |idx: usize| -> Box<dyn FnOnce() -> Fig12CellRecord + Send + 'static> {
         // The job must be self-contained ('static): a watchdogged attempt
         // may outlive this stack frame.
-        let cache = cache.clone();
-        let mode = opts.cache_mode;
         let config = configs[idx / SCHEMES.len()].clone();
         let config_index = idx / SCHEMES.len();
         let scheme = SCHEMES[idx % SCHEMES.len()];
-        Box::new(move || {
-            let (cell, prefetch) = sweep_cell(
-                cache.as_ref(),
-                mode,
-                &config,
-                config_index,
-                scheme,
-                scale_divisor,
-                sparsity,
-            );
-            Fig12CellRecord { cell, prefetch }
-        })
+        Box::new(move || sweep_cell(&config, config_index, scheme, scale_divisor, sparsity))
     };
     let run = run_cells("fig12", items, fingerprint, opts, key_of, make_job)?;
 
@@ -575,6 +459,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricOpts;
     use zcomp_dnn::deepbench::{suite_configs, Suite};
 
     fn quick() -> Fig12Result {
@@ -627,74 +512,34 @@ mod tests {
     fn sweep_matches_serial_run() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
         let reference = run_configs(configs, 4096, 0.53);
-
-        let root = std::env::temp_dir().join(format!("ztrc-fig12-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        // Cold: serial, capturing into the cache.
-        let cold = run_sweep(configs, 4096, 0.53, &SweepOpts::serial().with_cache(&root))
-            .expect("cold sweep");
-        // Warm: parallel, replaying the captured traces.
-        let warm = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::default().with_cache(&root).with_threads(4),
-        )
-        .expect("warm sweep");
-        let _ = std::fs::remove_dir_all(&root);
-
+        let sweep = run_sweep(configs, 4096, 0.53, &SweepOpts::default().with_threads(4))
+            .expect("parallel sweep");
         assert_eq!(
-            reference.rows, cold.result.rows,
-            "cold sweep must match run_configs"
+            reference.rows, sweep.result.rows,
+            "parallel sweep must match run_configs"
         );
-        assert_eq!(
-            reference.rows, warm.result.rows,
-            "warm replay must match run_configs"
-        );
-        assert_eq!(reference.zcomp_prefetch, cold.result.zcomp_prefetch);
-        assert_eq!(reference.zcomp_prefetch, warm.result.zcomp_prefetch);
-        assert!(cold.result.quarantined.is_empty());
-        assert_eq!(cold.supervision.executed, configs.len() * SCHEMES.len());
-        assert_eq!(cold.supervision.retries, 0);
+        assert_eq!(reference.zcomp_prefetch, sweep.result.zcomp_prefetch);
+        assert!(sweep.result.quarantined.is_empty());
+        assert_eq!(sweep.supervision.executed, configs.len() * SCHEMES.len());
+        assert_eq!(sweep.supervision.retries, 0);
     }
 
     #[test]
     fn resumed_sweep_reproduces_the_interrupted_result() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
-        let root = std::env::temp_dir().join(format!("ztrc-fig12-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let full = run_sweep(configs, 4096, 0.53, &SweepOpts::serial()).expect("reference sweep");
 
-        // The uninterrupted reference run (its own cache dir, so the
-        // resumed run can't borrow its traces).
-        let ref_root = root.join("ref");
-        let full = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&ref_root),
-        )
-        .expect("reference sweep");
-
-        // "Interrupted" run: journal exists with some completed cells
-        // (simulated by running a prefix of the sweep).
-        let run_root = root.join("run");
-        run_sweep(
-            &configs[..1],
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&run_root),
-        )
-        .expect("partial sweep");
+        // "Interrupted" run: a 1-worker fabric whose journal holds some
+        // completed cells (simulated by running a prefix of the sweep).
+        let dir = std::env::temp_dir().join(format!("zfab-fig12-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SweepOpts::serial().with_fabric(FabricOpts::new(&dir).with_worker("w1"));
+        run_sweep(&configs[..1], 4096, 0.53, &opts).expect("partial sweep");
 
         // Resume over the full config set: the first config's cells are
         // restored from the journal, the rest execute.
-        let resumed = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&run_root).with_resume(true),
-        )
-        .expect("resumed sweep");
+        let resumed = run_sweep(configs, 4096, 0.53, &opts).expect("resumed sweep");
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(resumed.supervision.resume_skips, SCHEMES.len());
         assert_eq!(resumed.supervision.executed, SCHEMES.len());
         assert_eq!(
@@ -711,6 +556,5 @@ mod tests {
             serde_json::to_string(&full.result).unwrap(),
             "resumed JSON must be byte-identical to an uninterrupted run"
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -12,16 +12,12 @@ use zcomp_dnn::sparsity::SparsityModel;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::layer_exec::Scheme;
 use zcomp_kernels::network_exec::{run_network, NetworkExecOpts};
-use zcomp_replay::{
-    config_fingerprint, replay, CacheMode, TraceCache, TraceError, TraceKey, TraceMeta,
-};
 use zcomp_sim::config::SimConfig;
-use zcomp_sim::engine::{Machine, RunSummary};
-use zcomp_trace::log_warn;
+use zcomp_sim::engine::Machine;
 
 use crate::report::{mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{config_fingerprint, run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// Training or inference column group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -267,7 +263,23 @@ pub fn run(batch_divisor: usize) -> FullNetResult {
 /// The three schemes in plotting order.
 const SCHEMES: [Scheme; 3] = [Scheme::None, Scheme::Avx512Comp, Scheme::Zcomp];
 
-fn cell_from_summary(scheme: Scheme, summary: &RunSummary) -> FullNetCell {
+/// Builds the workload of one (model, mode, scheme) cell and simulates
+/// it on a fresh Table-1 machine.
+fn sweep_cell(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> FullNetCell {
+    let net = model.build(batch);
+    let profile = SparsityModel::default().profile(&net, 50);
+    let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+    let summary = run_network(
+        &mut machine,
+        &net,
+        &profile,
+        &NetworkExecOpts {
+            scheme,
+            training: mode == Mode::Training,
+            ..NetworkExecOpts::default()
+        },
+    )
+    .summary;
     FullNetCell {
         scheme,
         onchip_bytes: summary.traffic.onchip_bytes(),
@@ -277,106 +289,20 @@ fn cell_from_summary(scheme: Scheme, summary: &RunSummary) -> FullNetCell {
     }
 }
 
-/// Runs one (model, mode, scheme) cell with the trace cache: replay on a
-/// valid hit, simulate-and-capture otherwise. A warm cell skips network
-/// construction and sparsity profiling entirely; every cache failure
-/// degrades to plain in-process simulation.
-fn sweep_cell(
-    cache: Option<&TraceCache>,
-    cache_mode: CacheMode,
-    model: ModelId,
-    mode: Mode,
-    scheme: Scheme,
-    batch: usize,
-) -> FullNetCell {
-    let sim_cfg = SimConfig::table1();
-    let fingerprint = config_fingerprint(&sim_cfg);
-    let key = TraceKey::new(
-        "fullnet",
-        format!("model={model};mode={mode};scheme={scheme:?};batch={batch};profile=50"),
-    );
-    if let Some(cache) = cache {
-        match cache_mode {
-            CacheMode::Refresh => cache.evict(&key, fingerprint),
-            CacheMode::Auto => {
-                if let Some(mut reader) = cache.open(&key, fingerprint) {
-                    let mut machine = Machine::new(sim_cfg.clone(), UopTable::skylake_x());
-                    match replay(&mut reader, &mut machine) {
-                        Ok(outcome) => return cell_from_summary(scheme, &outcome.summary),
-                        Err(e) => {
-                            log_warn!(
-                                "fullnet replay of [{}] failed ({e}); re-capturing",
-                                key.cell
-                            );
-                            if !matches!(e, TraceError::Io(_)) {
-                                cache.quarantine_replay_failure(&key, fingerprint, &e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Cache miss (or caching off): build the workload and simulate,
-    // capturing when possible.
-    let net = model.build(batch);
-    let profile = SparsityModel::default().profile(&net, 50);
-    let mut machine = Machine::new(sim_cfg, UopTable::skylake_x());
-    let session =
-        cache.and_then(
-            |c| match c.begin_capture(&key, TraceMeta::for_config(machine.config())) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    log_warn!(
-                        "fullnet capture of [{}] cannot start ({e}); running uncached",
-                        key.cell
-                    );
-                    None
-                }
-            },
-        );
-    if let Some(s) = &session {
-        machine.set_observer(Some(s.observer()));
-    }
-    let result = run_network(
-        &mut machine,
-        &net,
-        &profile,
-        &NetworkExecOpts {
-            scheme,
-            training: mode == Mode::Training,
-            ..NetworkExecOpts::default()
-        },
-    );
-    machine.set_observer(None);
-    if let Some(s) = session {
-        if let Err(e) = s.finish("{}") {
-            log_warn!(
-                "fullnet capture of [{}] failed ({e}); result kept",
-                key.cell
-            );
-        }
-    }
-    cell_from_summary(scheme, &result.summary)
-}
-
-/// Runs the full-network sweep sharded across threads with trace-cached,
-/// *supervised* cells; equivalent to [`run`] row for row.
+/// Runs the full-network sweep sharded across threads with *supervised*
+/// cells; equivalent to [`run`] row for row.
 ///
-/// All 30 (network, mode, scheme) cells are independent; warm cells replay
-/// their cached trace without rebuilding the network or re-profiling
-/// sparsity. Cells run under the supervision policy in `opts` — panics
-/// and watchdog timeouts quarantine the cell (zeroed placeholder slot +
-/// entry in `quarantined`) instead of aborting; with a cache root,
-/// completions are journalled and `opts.resume` restores them exactly.
-/// The merge is deterministic regardless of scheduling.
+/// All 30 (network, mode, scheme) cells are independent. Cells run under
+/// the supervision policy in `opts` — panics and watchdog timeouts
+/// quarantine the cell (zeroed placeholder slot + entry in
+/// `quarantined`) instead of aborting; with `opts.fabric`, completions
+/// are journalled under the fabric directory and a re-run restores them
+/// exactly. The merge is deterministic regardless of scheduling.
 pub fn run_sweep(
     batch_divisor: usize,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<FullNetResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fullnet-sweep");
-    let cache = opts.cache()?;
     let fingerprint = config_fingerprint(&SimConfig::table1());
     let modes = [Mode::Training, Mode::Inference];
     let batch_of = |model: ModelId, mode: Mode| match mode {
@@ -396,11 +322,9 @@ pub fn run_sweep(
         format!("model={model};mode={mode};scheme={scheme:?};batch={batch};profile=50")
     };
     let make_job = |idx: usize| -> Box<dyn FnOnce() -> FullNetCell + Send + 'static> {
-        let cache = cache.clone();
-        let cache_mode = opts.cache_mode;
         let (model, mode, scheme) = cell_of(idx);
         let batch = batch_of(model, mode);
-        Box::new(move || sweep_cell(cache.as_ref(), cache_mode, model, mode, scheme, batch))
+        Box::new(move || sweep_cell(model, mode, scheme, batch))
     };
     let run = run_cells("fullnet", items, fingerprint, opts, key_of, make_job)?;
 
@@ -523,25 +447,13 @@ mod tests {
     #[test]
     fn sweep_matches_serial_run() {
         let reference = quick();
-        let root = std::env::temp_dir().join(format!("ztrc-fullnet-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        // Cold: parallel capture into the cache (order must not matter).
-        let cold = run_sweep(16, &SweepOpts::default().with_cache(&root).with_threads(4))
-            .expect("cold sweep");
-        // Warm: replay every cell from the cache.
-        let warm = run_sweep(16, &SweepOpts::default().with_cache(&root).with_threads(4))
-            .expect("warm sweep");
-        let _ = std::fs::remove_dir_all(&root);
-
+        // Parallel sweep (order must not matter).
+        let sweep = run_sweep(16, &SweepOpts::default().with_threads(4)).expect("parallel sweep");
         assert_eq!(
-            reference.rows, cold.result.rows,
-            "cold sweep must match run()"
+            reference.rows, sweep.result.rows,
+            "parallel sweep must match run()"
         );
-        assert_eq!(
-            reference.rows, warm.result.rows,
-            "warm replay must match run()"
-        );
-        assert!(cold.result.quarantined.is_empty());
-        assert_eq!(cold.supervision.cells, 30);
+        assert!(sweep.result.quarantined.is_empty());
+        assert_eq!(sweep.supervision.cells, 30);
     }
 }

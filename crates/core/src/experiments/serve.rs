@@ -17,7 +17,6 @@
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
 use zcomp_kernels::layer_exec::Scheme;
-use zcomp_replay::config_fingerprint;
 use zcomp_sim::config::SimConfig;
 
 use crate::report::Table;
@@ -25,7 +24,7 @@ use crate::serve::knee::{derive_slo, find_knee, KneeOpts, KneeOutcome, ServeCurv
 use crate::serve::service::{ProfileTable, ServiceModel};
 use crate::serve::ServeConfig;
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{config_fingerprint, run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// The two schemes compared per network, in column order.
 const SCHEMES: [Scheme; 2] = [Scheme::None, Scheme::Zcomp];

@@ -30,7 +30,6 @@
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
 use zcomp_kernels::layer_exec::Scheme;
-use zcomp_replay::config_fingerprint;
 use zcomp_sim::config::SimConfig;
 
 use crate::report::Table;
@@ -43,7 +42,7 @@ use crate::serve::service::{ProfileTable, ServiceModel};
 use crate::serve::slo::SloClass;
 use crate::serve::ServeConfig;
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{config_fingerprint, run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// The three serving modes compared at every fault rate, in column order.
 pub const MODES: [ChaosMode; 3] = [

@@ -1,5 +1,6 @@
 //! Crash-safe multi-process sweep fabric: a coordinator-less, file-locked
-//! work queue layered over the trace-cache directory tree.
+//! work queue under one shared fabric directory. It is also the sweeps'
+//! only resume path — a single process resumes as a 1-worker fabric.
 //!
 //! PR-5 supervision made a *single process* survive panics, hangs and
 //! SIGKILL. The fabric generalizes that discipline to *many cooperating
@@ -58,8 +59,8 @@ pub struct FabricOpts {
     /// per-experiment subdirectories of it). Every cooperating worker
     /// must point at the same directory.
     pub dir: PathBuf,
-    /// This worker's id — stamped into leases, journals and quarantine
-    /// sidecars. Defaults to `w<pid>`.
+    /// This worker's id — stamped into leases, journals and event
+    /// streams. Defaults to `w<pid>`.
     pub worker: String,
     /// Lease time-to-live: a lease whose heartbeat mtime is older than
     /// this is considered dead and reclaimable.
@@ -205,7 +206,7 @@ pub enum LeaseState {
 /// The on-disk claim on one sweep cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lease {
-    /// Cell descriptor (the trace-cache / journal cell key).
+    /// Cell descriptor (the journal cell key).
     pub cell: String,
     /// Machine-config fingerprint of the sweep.
     pub fingerprint: u32,
@@ -452,7 +453,8 @@ enum Acquire {
 }
 
 /// Tries to acquire cell `hash`: claim it if free, reclaim it if its
-/// owner's heartbeat expired, tombstone it if torn and stale.
+/// owner's heartbeat expired (or its owner is a dead earlier run of this
+/// same worker id), tombstone it if torn and stale.
 fn try_acquire(
     leases: &LeaseDir,
     hash: u64,
@@ -472,7 +474,14 @@ fn try_acquire(
                 LeaseState::Running => ttl,
                 LeaseState::Done => ttl * 4,
             };
-            if age <= expiry || !leases.try_reclaim(hash, held.token) {
+            // A running lease stamped with this worker's own id was left
+            // by a killed earlier run: one id is one live process (each
+            // id owns its own journal), and a worker never re-acquires a
+            // cell it is still executing. Reclaim it at once instead of
+            // idling out the TTL; fencing still rejects the predecessor
+            // should it turn out to be alive.
+            let own_stale = held.state == LeaseState::Running && held.worker == worker;
+            if (!own_stale && age <= expiry) || !leases.try_reclaim(hash, held.token) {
                 return Ok(Acquire::Busy);
             }
             reclaimed = true;
@@ -722,8 +731,8 @@ fn fabric_payload<T: Serialize>(index: usize, cell: &str, outcome: &CellOutcome<
 
 /// Decodes one merged journal entry back into a cell outcome.
 /// `ran_here` keeps the executing worker's attempt count; every other
-/// worker sees the cell as journal-restored (attempts 0), mirroring the
-/// single-process resume semantics.
+/// worker sees the cell as journal-restored (attempts 0), exactly as a
+/// resumed worker sees its own pre-crash commits.
 fn decode_cell<T: Deserialize>(
     index: usize,
     cell: &str,
@@ -780,8 +789,6 @@ where
         dir: dir.clone(),
         source,
     })?;
-    // Validate the trace-cache root up front, exactly like plain sweeps.
-    opts.cache()?;
     install_drain_handler();
 
     let worker = fabric.worker.clone();
@@ -1210,6 +1217,29 @@ mod tests {
                 assert!(leases.owns(hash, "w-live", 2));
             }
             Acquire::Busy => panic!("expired lease must be reclaimable"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn own_running_lease_is_reclaimed_without_waiting_for_the_ttl() {
+        let dir = temp_dir("own");
+        let _ = fs::remove_dir_all(&dir);
+        let leases = LeaseDir::open(&dir).unwrap();
+        let hash = LeaseDir::hash("exp", "cell-o", 7);
+        // A killed run of worker w1 left its lease running.
+        assert!(leases.try_claim(hash, &lease("cell-o", "w1", 1)).unwrap());
+        let ttl = Duration::from_secs(30);
+        let got = try_acquire(&leases, hash, "cell-o", 7, "w2", ttl).unwrap();
+        assert!(matches!(got, Acquire::Busy), "other ids wait out the TTL");
+        match try_acquire(&leases, hash, "cell-o", 7, "w1", ttl).unwrap() {
+            Acquire::Won(l, reclaimed) => {
+                assert!(reclaimed);
+                assert_eq!(l.token, 2);
+                assert!(leases.owns(hash, "w1", 2));
+                assert!(!leases.owns(hash, "w1", 1), "the dead run is fenced off");
+            }
+            Acquire::Busy => panic!("a restarted worker must reclaim its own lease"),
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -25,9 +25,10 @@
 //!   sweep output marks the quarantined index explicitly so partial
 //!   results stay byte-deterministic.
 //! * **Journal** — [`Journal`] is an append-only, CRC-guarded completion
-//!   log (`journal.jsonl` under the trace-cache root) persisted with the
-//!   tmp+atomic-rename idiom; a resumed sweep skips every
-//!   verified-complete cell and reproduces the identical final report.
+//!   log persisted with the tmp+atomic-rename idiom. The
+//!   [`fabric`](crate::fabric) keeps one per worker under its directory;
+//!   a resumed sweep skips every verified-complete cell and reproduces
+//!   the identical final report.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -171,7 +172,7 @@ impl std::fmt::Display for FailureReason {
 pub struct CellFailure {
     /// Flat cell index within the sweep.
     pub index: usize,
-    /// The cell's descriptor string (the same key the trace cache and
+    /// The cell's descriptor string (the same key the fabric lease and
     /// journal use).
     pub cell: String,
     /// Attempts consumed before quarantine.
@@ -353,10 +354,10 @@ where
 /// One journal line: a completed cell keyed by its descriptor and the
 /// machine-config fingerprint, carrying the serialized cell result, the
 /// committing worker's identity and fencing token (both zero-valued for
-/// plain single-process sweeps), and a CRC32 over all of them.
+/// unfenced commits), and a CRC32 over all of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
-    /// Cell descriptor (the trace-cache cell key).
+    /// Cell descriptor (the sweep cell key).
     pub cell: String,
     /// Machine-config fingerprint the result was produced under.
     pub fingerprint: u32,

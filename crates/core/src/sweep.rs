@@ -1,9 +1,10 @@
 //! Sharded, *supervised* sweep execution: spreads independent experiment
-//! cells across OS threads with a deterministic merge, carries the
-//! trace-cache policy the cell runners use, and wraps every cell in the
-//! [`supervise`](crate::supervise) runtime — panic isolation, watchdog
-//! deadlines, deterministic retry, quarantine, and a crash-safe
-//! completion journal for `--resume`.
+//! cells across OS threads with a deterministic merge and wraps every
+//! cell in the [`supervise`](crate::supervise) runtime — panic
+//! isolation, watchdog deadlines, deterministic retry and quarantine. A
+//! sweep given a [`FabricOpts`] runs on the multi-process
+//! [`fabric`](crate::fabric) instead, whose crash-safe journals are the
+//! one resume path: a 1-worker fabric is how a single process resumes.
 //!
 //! Every cell of the Fig. 12 and full-network sweeps builds its own
 //! [`Machine`](zcomp_sim::Machine) from a fixed seed, so cells are
@@ -22,27 +23,26 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use zcomp_replay::{CacheMode, TraceCache, TraceError};
-use zcomp_trace::log_warn;
+use zcomp_sim::config::SimConfig;
 
 use crate::fabric::{FabricOpts, FabricReport};
-use crate::supervise::{CellFailure, CellOutcome, Journal, SuperviseOpts};
+use crate::supervise::{CellFailure, CellOutcome, SuperviseOpts};
+
+/// The machine-configuration fingerprint that keys fabric journals and
+/// leases: CRC32 of the configuration's JSON, so a journal written under
+/// one machine never restores cells of another.
+pub fn config_fingerprint(cfg: &SimConfig) -> u32 {
+    serde_json::to_string(cfg)
+        .map(|s| zcomp_trace::crc::crc32(s.as_bytes()))
+        .unwrap_or(0)
+}
 
 /// A sweep-level failure detected *before* any cell runs (as opposed to
 /// per-cell failures, which are quarantined, not raised).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// The trace-cache root cannot be created or written. Surfaced at
-    /// sweep start so a bad `--traces` path fails in milliseconds, not
-    /// per-cell over hours.
-    CacheRoot {
-        /// The offending root directory.
-        root: PathBuf,
-        /// The underlying cache error.
-        source: TraceError,
-    },
-    /// The resume journal exists but cannot be read.
+    /// A fabric journal exists but cannot be read.
     Journal {
         /// The journal file path.
         path: PathBuf,
@@ -71,11 +71,6 @@ pub enum SweepError {
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepError::CacheRoot { root, source } => write!(
-                f,
-                "trace cache root {} is unusable: {source}",
-                root.display()
-            ),
             SweepError::Journal { path, source } => {
                 write!(
                     f,
@@ -104,7 +99,6 @@ impl std::fmt::Display for SweepError {
 impl std::error::Error for SweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SweepError::CacheRoot { source, .. } => Some(source),
             SweepError::Journal { source, .. } => Some(source),
             SweepError::Fabric { source, .. } => Some(source),
             SweepError::FabricDrained { .. } => None,
@@ -112,22 +106,13 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// Options of a sharded, trace-cached, supervised sweep.
+/// Options of a sharded, supervised sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Worker threads; `0` or `1` runs serially on the calling thread.
     pub threads: usize,
-    /// Trace-cache root; `None` disables capture/replay entirely and every
-    /// cell simulates in-process. The root also hosts the per-experiment
-    /// resume journal.
-    pub cache_root: Option<PathBuf>,
-    /// Cache policy (replay hits vs forced re-capture).
-    pub cache_mode: CacheMode,
     /// Per-cell supervision policy (attempts, deadline, backoff).
     pub supervise: SuperviseOpts,
-    /// Skip cells recorded as complete in the journal instead of starting
-    /// over. Requires `cache_root`; ignored without one.
-    pub resume: bool,
     /// Multi-process fabric participation: when set, [`run_cells`] joins
     /// the lease-based work queue under
     /// [`FabricOpts::dir`](crate::fabric::FabricOpts) as one cooperating
@@ -139,17 +124,14 @@ impl Default for SweepOpts {
     fn default() -> Self {
         SweepOpts {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cache_root: None,
-            cache_mode: CacheMode::Auto,
             supervise: SuperviseOpts::default(),
-            resume: false,
             fabric: None,
         }
     }
 }
 
 impl SweepOpts {
-    /// Serial, uncached execution — behaviourally identical to the plain
+    /// Serial execution — behaviourally identical to the plain
     /// experiment runners.
     pub fn serial() -> Self {
         SweepOpts {
@@ -158,21 +140,9 @@ impl SweepOpts {
         }
     }
 
-    /// Enables the trace cache (and resume journal) under `root`.
-    pub fn with_cache(mut self, root: impl Into<PathBuf>) -> Self {
-        self.cache_root = Some(root.into());
-        self
-    }
-
     /// Sets the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the cache policy.
-    pub fn with_mode(mut self, mode: CacheMode) -> Self {
-        self.cache_mode = mode;
         self
     }
 
@@ -182,37 +152,10 @@ impl SweepOpts {
         self
     }
 
-    /// Enables (or disables) journal-based resume.
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
     /// Joins the multi-process fabric rooted at `fabric.dir`.
     pub fn with_fabric(mut self, fabric: FabricOpts) -> Self {
         self.fabric = Some(fabric);
         self
-    }
-
-    /// The cache handle, if caching is enabled. The root is validated
-    /// (created and write-probed) here, so an unusable `--traces` path is
-    /// a typed [`SweepError::CacheRoot`] at sweep start rather than a
-    /// per-cell failure mid-run. In fabric runs the handle is stamped
-    /// with the worker id so quarantine sidecars record who produced
-    /// them.
-    pub(crate) fn cache(&self) -> Result<Option<TraceCache>, SweepError> {
-        match &self.cache_root {
-            None => Ok(None),
-            Some(root) => TraceCache::open_validated(root)
-                .map(|cache| match &self.fabric {
-                    Some(fabric) => Some(cache.with_worker(&fabric.worker)),
-                    None => Some(cache),
-                })
-                .map_err(|source| SweepError::CacheRoot {
-                    root: root.clone(),
-                    source,
-                }),
-        }
     }
 }
 
@@ -226,7 +169,7 @@ pub struct SupervisionReport {
     pub cells: usize,
     /// Cells actually executed this run (not restored from the journal).
     pub executed: usize,
-    /// Cells restored from the resume journal without executing.
+    /// Cells restored from the fabric journals without executing.
     pub resume_skips: usize,
     /// Retry attempts consumed beyond each cell's first try.
     pub retries: u64,
@@ -275,19 +218,20 @@ pub struct CellsRun<T> {
     pub report: SupervisionReport,
 }
 
-/// Runs `items` supervised cells, sharded over `opts.threads`, journalling
-/// completions under the cache root and honouring `opts.resume`.
+/// Runs `items` supervised cells, sharded over `opts.threads`; with
+/// [`SweepOpts::fabric`] set, hands the sweep to the journalled,
+/// resumable multi-process fabric instead.
 ///
-/// `key_of(i)` names cell `i` — the same descriptor string the trace
-/// cache uses, which (with `fingerprint`) keys the journal record.
-/// `make_job(i)` builds a fresh self-contained closure per attempt; see
+/// `key_of(i)` names cell `i`; with `fingerprint` it keys the cell's
+/// fabric lease and journal record. `make_job(i)` builds a fresh
+/// self-contained closure per attempt; see
 /// [`supervise::run_cell`](crate::supervise::run_cell) for why it must be
 /// `'static`.
 ///
-/// Determinism: outcomes come back in index order; journal-restored cells
-/// decode the exact JSON payload the original execution committed, so a
-/// resumed sweep merges to the identical result an uninterrupted run
-/// produces.
+/// Determinism: outcomes come back in index order; journal-restored
+/// fabric cells decode the exact JSON payload the original execution
+/// committed, so a resumed sweep merges to the identical result an
+/// uninterrupted run produces.
 pub fn run_cells<T, K, J>(
     experiment: &str,
     items: usize,
@@ -301,121 +245,24 @@ where
     K: Fn(usize) -> String + Sync,
     J: Fn(usize) -> Box<dyn FnOnce() -> T + Send + 'static> + Sync,
 {
-    // Fabric runs hand the whole sweep to the lease-based multi-process
-    // executor; everything below is the single-process path.
     if opts.fabric.is_some() {
         return crate::fabric::run_fabric(experiment, items, fingerprint, opts, key_of, make_job);
     }
-
-    // Validate the cache root up front even though the caller holds its
-    // own handle — a bad root must fail here, not mid-sweep.
-    let journal: Option<Mutex<Journal>> = match &opts.cache_root {
-        None => None,
-        Some(root) => {
-            opts.cache()?;
-            let path = root.join(experiment).join("journal.jsonl");
-            let journal = if opts.resume {
-                Journal::load(&path).map_err(|source| SweepError::Journal {
-                    path: path.clone(),
-                    source,
-                })?
-            } else {
-                Journal::fresh(&path)
-            };
-            Some(Mutex::new(journal))
-        }
-    };
-
-    // Resume pass: restore verified-complete cells without executing.
-    let mut outcomes: Vec<Option<CellOutcome<T>>> = (0..items).map(|_| None).collect();
-    let mut resume_skips = 0usize;
-    if opts.resume {
-        if let Some(journal) = &journal {
-            let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                let key = key_of(index);
-                if let Some(payload) = journal.lookup(&key, fingerprint) {
-                    match serde_json::from_str::<T>(payload) {
-                        Ok(value) => {
-                            *slot = Some(CellOutcome::Completed { value, attempts: 0 });
-                            resume_skips += 1;
-                        }
-                        Err(e) => {
-                            log_warn!(
-                                "journal payload for cell {index} [{key}] does not decode \
-                                 ({e}); re-running"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if resume_skips > 0 {
-        zcomp_trace::tracer::counter("supervise.resume_skips", resume_skips as f64);
-    }
-
-    // Execute the remaining cells under supervision.
-    let pending: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
-    let ran = run_sharded(pending.len(), opts.threads, |j| {
-        let index = pending[j];
-        let key = key_of(index);
-        let outcome = crate::supervise::run_cell(&opts.supervise, index, &key, || make_job(index));
-        if let CellOutcome::Completed { value, attempts } = &outcome {
-            if *attempts > 0 {
-                if let Some(journal) = &journal {
-                    match serde_json::to_string(value) {
-                        Ok(payload) => {
-                            let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                            if let Err(e) = journal.commit(key.clone(), fingerprint, payload) {
-                                // The journal is an aid, not a dependency:
-                                // losing a record only costs re-execution
-                                // on a future resume.
-                                log_warn!(
-                                    "journal commit for cell {index} [{key}] failed ({e}); \
-                                     continuing unjournalled"
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            log_warn!("cell {index} [{key}] result does not serialize: {e}");
-                        }
-                    }
-                }
-            }
-        }
-        outcome
+    let outcomes = run_sharded(items, opts.threads, |index| {
+        crate::supervise::run_cell(&opts.supervise, index, &key_of(index), || make_job(index))
     });
-    for (j, outcome) in ran.into_iter().enumerate() {
-        outcomes[pending[j]] = Some(outcome);
-    }
-
-    // Merge, in index order, and aggregate the report.
     let mut report = SupervisionReport {
         cells: items,
-        resume_skips,
+        executed: items,
         ..SupervisionReport::default()
     };
-    let mut merged = Vec::with_capacity(items);
-    for outcome in outcomes.into_iter().flatten() {
+    for outcome in &outcomes {
         report.retries += outcome.retries();
-        match &outcome {
-            CellOutcome::Completed { attempts, .. } => {
-                if *attempts > 0 {
-                    report.executed += 1;
-                }
-            }
-            CellOutcome::Quarantined(failure) => {
-                report.executed += 1;
-                report.quarantined.push(failure.clone());
-            }
+        if let CellOutcome::Quarantined(failure) = outcome {
+            report.quarantined.push(failure.clone());
         }
-        merged.push(outcome);
     }
-    Ok(CellsRun {
-        outcomes: merged,
-        report,
-    })
+    Ok(CellsRun { outcomes, report })
 }
 
 /// Runs `worker` for every index in `0..items` across up to `threads`
@@ -496,40 +343,35 @@ mod tests {
     }
 
     #[test]
-    fn default_opts_are_parallel_and_uncached() {
+    fn default_opts_are_parallel_and_single_process() {
         let o = SweepOpts::default();
         assert!(o.threads >= 1);
-        assert!(o.cache_root.is_none());
-        assert_eq!(o.cache_mode, CacheMode::Auto);
-        assert!(!o.resume);
+        assert!(o.fabric.is_none());
         assert_eq!(o.supervise, SuperviseOpts::default());
     }
 
-    fn temp_root(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("zsweep-{}-{name}", std::process::id()))
+    #[test]
+    fn config_fingerprint_distinguishes_configs() {
+        let a = config_fingerprint(&SimConfig::table1());
+        let b = config_fingerprint(&SimConfig::test_tiny());
+        assert_ne!(a, b);
+        assert_eq!(a, config_fingerprint(&SimConfig::table1()));
     }
 
-    #[test]
-    fn unwritable_cache_root_is_a_typed_error_at_start() {
-        // A root whose parent is a *file* cannot be created.
-        let blocker = temp_root("blocker");
-        let _ = std::fs::remove_file(&blocker);
-        std::fs::write(&blocker, b"file").unwrap();
-        let opts = SweepOpts::serial().with_cache(blocker.join("nested"));
-        let err = opts.cache().expect_err("root under a file must fail");
-        let text = err.to_string();
-        assert!(text.contains("unusable"), "got: {text}");
-        assert!(std::error::Error::source(&err).is_some());
-        let _ = std::fs::remove_file(&blocker);
+    /// A 1-worker fabric under a fresh temp dir — the single-process
+    /// resume path.
+    fn one_worker(name: &str) -> (PathBuf, SweepOpts) {
+        let dir = std::env::temp_dir().join(format!("zsweep-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SweepOpts::serial()
+            .with_supervise(SuperviseOpts::single())
+            .with_fabric(FabricOpts::new(&dir).with_worker("w1"));
+        (dir, opts)
     }
 
     #[test]
     fn run_cells_quarantines_and_journals_then_resumes() {
-        let root = temp_root("cells");
-        let _ = std::fs::remove_dir_all(&root);
-        let opts = SweepOpts::serial()
-            .with_cache(&root)
-            .with_supervise(SuperviseOpts::single());
+        let (dir, opts) = one_worker("cells");
         let key_of = |i: usize| format!("cell-{i}");
         let job = |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> {
             Box::new(move || {
@@ -547,37 +389,39 @@ mod tests {
         assert_eq!(run.report.quarantined[0].index, 2);
         assert_eq!(run.outcomes[1].value(), Some(&10));
         assert!(run.outcomes[2].value().is_none());
-        assert!(root.join("unit").join("journal.jsonl").exists());
+        assert!(dir.join("unit").join("journal.w1.jsonl").exists());
 
-        // Resume: completed cells restore (attempts == 0), only the
-        // quarantined one re-runs — and this time it succeeds.
-        let opts = opts.with_resume(true);
-        let job = |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> {
-            Box::new(move || (i as u64) * 10)
+        // Resume: every cell restores from the journal without executing
+        // (attempts == 0). Fabric quarantine is terminal, so the
+        // quarantined cell is restored as quarantined, not re-run.
+        let job = |_: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> {
+            Box::new(|| panic!("a resumed sweep must not execute journalled cells"))
         };
-        let run = run_cells("unit", 4, 7, &opts, key_of, job).unwrap();
-        assert_eq!(run.report.resume_skips, 3);
-        assert_eq!(run.report.executed, 1);
-        assert!(run.report.quarantined.is_empty());
-        let values: Vec<u64> = run.outcomes.iter().map(|o| *o.value().unwrap()).collect();
-        assert_eq!(values, vec![0, 10, 20, 30]);
-        let _ = std::fs::remove_dir_all(&root);
+        let resumed = run_cells("unit", 4, 7, &opts, key_of, job).unwrap();
+        assert_eq!(resumed.report.resume_skips, 4);
+        assert_eq!(resumed.report.executed, 0);
+        assert_eq!(resumed.report.quarantined, run.report.quarantined);
+        let values: Vec<Option<u64>> = resumed
+            .outcomes
+            .iter()
+            .map(|o| o.value().copied())
+            .collect();
+        assert_eq!(values, vec![Some(0), Some(10), None, Some(30)]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fingerprint_change_invalidates_journal_entries() {
-        let root = temp_root("fp");
-        let _ = std::fs::remove_dir_all(&root);
-        let opts = SweepOpts::serial().with_cache(&root);
+        let (dir, opts) = one_worker("fp");
         let key_of = |i: usize| format!("c{i}");
         let job =
             |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> { Box::new(move || i as u64) };
         run_cells("fp", 2, 1, &opts, key_of, job).unwrap();
-        let run = run_cells("fp", 2, 2, &opts.clone().with_resume(true), key_of, job).unwrap();
+        let run = run_cells("fp", 2, 2, &opts, key_of, job).unwrap();
         assert_eq!(
             run.report.resume_skips, 0,
             "a different machine fingerprint must not resume stale cells"
         );
-        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,13 +1,12 @@
 //! Differential property tests: batched fast path vs reference path.
 //!
-//! The batched executor, the no-observer memory access path and the fused
-//! synthetic-NNZ generator are pure optimizations — every observable
-//! output must be bit-identical to the straightforward reference
-//! implementations. These properties drive randomized tensors, sparsities,
-//! thread counts, schemes, header placements and unroll factors through
-//! both paths and compare the complete serialized results (which include
-//! `CacheStats` and `TrafficStats` for every cache level), plus captured
-//! `.ztrc` trace bytes.
+//! The batched executor and the fused synthetic-NNZ generator are pure
+//! optimizations — every observable output must be bit-identical to the
+//! straightforward reference implementations. These properties drive
+//! randomized tensors, sparsities, thread counts, schemes, header
+//! placements and unroll factors through both paths and compare the
+//! complete serialized results (which include `CacheStats` and
+//! `TrafficStats` for every cache level).
 
 use proptest::prelude::*;
 
@@ -15,8 +14,6 @@ use zcomp_isa::stream::HeaderMode;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::relu::{run_relu_with_path, ExecPath, ReluOpts, ReluScheme};
-use zcomp_replay::codec::TraceMeta;
-use zcomp_replay::recorder::CaptureSession;
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 
@@ -63,45 +60,5 @@ proptest! {
         let fast = run_path(scheme, &nnz, &opts, ExecPath::Batched);
         let reference = run_path(scheme, &nnz, &opts, ExecPath::Reference);
         prop_assert_eq!(fast, reference, "scheme {} diverged", scheme);
-    }
-
-    /// With a trace observer attached, both paths capture byte-identical
-    /// `.ztrc` files: the batched executor must emit the same operation
-    /// stream the reference path does.
-    #[test]
-    fn trace_capture_is_path_invariant(
-        vectors in 1usize..600,
-        sparsity in 0.0f64..1.0,
-        seed in 0u64..1 << 48,
-        scheme_idx in 0usize..SCHEMES.len(),
-        threads in 1usize..17,
-    ) {
-        let nnz = nnz_synthetic(vectors * 16, sparsity, 6.0, seed);
-        let opts = ReluOpts { threads, ..ReluOpts::default() };
-        let scheme = SCHEMES[scheme_idx];
-        let dir = std::env::temp_dir().join(format!(
-            "ztrc-diff-{}-{}",
-            std::process::id(),
-            seed & 0xffff_ffff,
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let capture = |path: ExecPath, name: &str| -> Vec<u8> {
-            let file = dir.join(name);
-            let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-            let session =
-                CaptureSession::begin(&file, TraceMeta::for_config(machine.config()))
-                    .expect("begin capture");
-            machine.set_observer(Some(session.observer()));
-            run_relu_with_path(&mut machine, scheme, &nnz, &opts, path);
-            machine.set_observer(None);
-            session.finish("differential test").expect("finish capture");
-            let bytes = std::fs::read(&file).expect("read trace");
-            let _ = std::fs::remove_file(&file);
-            bytes
-        };
-        let fast = capture(ExecPath::Batched, "batched.ztrc");
-        let reference = capture(ExecPath::Reference, "reference.ztrc");
-        let _ = std::fs::remove_dir(&dir);
-        prop_assert_eq!(fast, reference, "trace capture diverged for {}", scheme);
     }
 }

@@ -23,6 +23,10 @@ use serde::{Deserialize, Serialize};
 use crate::error::ZcompError;
 use crate::stream::{CompressedStream, HeaderMode};
 
+/// The workspace's one CRC32 ([`zcomp_trace::crc`]), re-exported for the
+/// stream checksum's callers.
+pub use zcomp_trace::crc::{crc32, Crc32};
+
 /// Which backing region of a [`CompressedStream`] a byte offset refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StreamRegion {
@@ -65,68 +69,6 @@ pub struct DesyncImpact {
 pub struct StreamChecksum {
     /// The CRC32 value.
     pub crc32: u32,
-}
-
-const fn make_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = make_crc32_table();
-
-/// Incremental CRC32 (IEEE 802.3, reflected) state.
-///
-/// Public so other layers that need the same polynomial — notably the
-/// `zcomp-replay` trace-chunk framing — share one implementation instead
-/// of growing a second table.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Folds `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 >> 8) ^ CRC32_TABLE[((self.0 ^ b as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// Finalizes and returns the CRC32 value.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC32 of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
 }
 
 impl StreamChecksum {
@@ -253,14 +195,6 @@ mod tests {
         (0..n)
             .map(|i| if i % 3 == 0 { 0.0 } else { i as f32 * 0.5 })
             .collect()
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // CRC32("123456789") = 0xCBF43926 — the canonical check value.
-        let mut crc = Crc32::new();
-        crc.update(b"123456789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
     #[test]

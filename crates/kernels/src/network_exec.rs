@@ -229,9 +229,6 @@ fn run_network_inner(
     for (i, layer) in net.layers.iter().enumerate() {
         let _layer_span =
             zcomp_trace::tracer::span_owned("kernels", move || format!("fwd-layer-{i}"));
-        if machine.has_observer() {
-            machine.marker(&format!("fwd-layer/{i}"));
-        }
         // Input: the previous layer's stored output, or the raw images.
         let (in_region, in_headers, in_alloc, in_sparsity, in_scheme) = if i == 0 {
             (
@@ -283,9 +280,6 @@ fn run_network_inner(
         for (i, layer) in net.layers.iter().enumerate().rev() {
             let _layer_span =
                 zcomp_trace::tracer::span_owned("kernels", move || format!("bwd-layer-{i}"));
-            if machine.has_observer() {
-                machine.marker(&format!("bwd-layer/{i}"));
-            }
             let out_alloc = layer.output.bytes() as u64;
             let out_sparsity = profile.per_layer[i];
             let (gh_a, gh_b) = match grad_headers {

@@ -97,8 +97,8 @@ impl Default for ReluOpts {
 
 /// Which execution path drives the simulated machine.
 ///
-/// Both paths emit the identical observable operation sequence and
-/// produce bit-identical results; [`ExecPath::Batched`] amortizes per-op
+/// Both paths issue the identical memory-access sequence and produce
+/// bit-identical results; [`ExecPath::Batched`] amortizes per-op
 /// dispatch through [`Machine::exec_batch`] and is the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecPath {
@@ -285,9 +285,6 @@ pub fn run_relu_with_path(
     for _ in 0..opts.warmup_iterations {
         run_iteration(machine);
     }
-    // Trace-capture hook: everything after this marker is the measured
-    // window, so a replay driver can reproduce the reported deltas.
-    machine.marker(zcomp_sim::observe::MEASURE_START);
     let traffic_before = *machine.mem().traffic();
     let cycles_before = machine.total_cycles();
     let mut last = None;
@@ -295,8 +292,8 @@ pub fn run_relu_with_path(
         last = Some(run_iteration(machine));
     }
     // Deltas of the machine's own accumulators, not a re-summation of the
-    // phase reports: a trace replay computes the identical expression over
-    // identical f64 state, so the reported cycles match bit-for-bit.
+    // phase reports: the recorded figures depend on this exact f64
+    // expression, so both execution paths match bit-for-bit.
     let measured_cycles = machine.total_cycles() - cycles_before;
     let (store_phase, load_phase, mut output_bytes) =
         last.expect("at least one measured iteration");

@@ -17,7 +17,6 @@ use crate::config::SimConfig;
 use crate::core::{RooflineModel, ThreadAccounting};
 use crate::faults::{FaultConfig, FaultEvent, FaultSite};
 use crate::hierarchy::MemorySystem;
-use crate::observe::MachineObserver;
 use crate::stats::{CacheStats, CycleBreakdown, FaultStats, PrefetchStats, TrafficStats};
 
 /// How the threads of a phase were scheduled (Fig. 7 of the paper).
@@ -96,9 +95,6 @@ pub struct Machine {
     total_wall: f64,
     total_breakdown: CycleBreakdown,
     access_buf: Vec<MemAccess>,
-    /// Observer receiving the machine's complete operation stream (trace
-    /// capture); `None` in ordinary runs.
-    observer: Option<Box<dyn MachineObserver>>,
     /// Open tracing span of the in-progress phase; phases begin implicitly
     /// at the first activity after the previous `end_phase`.
     #[cfg(feature = "trace")]
@@ -123,7 +119,6 @@ impl Machine {
             total_wall: 0.0,
             total_breakdown: CycleBreakdown::default(),
             access_buf: Vec::with_capacity(4),
-            observer: None,
             #[cfg(feature = "trace")]
             phase_span: None,
             #[cfg(feature = "trace")]
@@ -168,31 +163,6 @@ impl Machine {
         self.threads.len()
     }
 
-    /// Attaches (or detaches, with `None`) a machine observer and returns
-    /// the previous one. Observers see every operation in execution order;
-    /// see [`crate::observe`].
-    pub fn set_observer(
-        &mut self,
-        observer: Option<Box<dyn MachineObserver>>,
-    ) -> Option<Box<dyn MachineObserver>> {
-        std::mem::replace(&mut self.observer, observer)
-    }
-
-    /// Whether an observer is currently attached (lets callers skip the
-    /// cost of building marker labels in ordinary runs).
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Emits a free-form marker to the attached observer. Markers have no
-    /// simulation effect; they annotate the operation stream (measured
-    /// windows, layer boundaries) for replay tooling.
-    pub fn marker(&mut self, label: &str) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_marker(label);
-        }
-    }
-
     /// Arms fault injection across the memory hierarchy (see
     /// [`MemorySystem::attach_faults`]).
     pub fn attach_faults(&mut self, faults: &FaultConfig) {
@@ -221,9 +191,6 @@ impl Machine {
     /// Panics if `thread` is out of range.
     pub fn exec(&mut self, thread: usize, instr: &Instr) {
         self.trace_phase_open();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_exec(thread, instr);
-        }
         let acct = &mut self.threads[thread];
         instr.add_uops(&mut acct.uops);
         acct.instructions += 1;
@@ -247,25 +214,17 @@ impl Machine {
     /// The program's loop body runs once per (step, lane) in step-major,
     /// lane-minor order — exactly the issue order of the reference
     /// kernels, so shared, order-dependent hierarchy state (L3, DRAM,
-    /// prefetchers) evolves identically. Per-op dispatch, uop-table
-    /// decode and observer checks are amortized: memory accesses are
+    /// prefetchers) evolves identically. Per-op dispatch and uop-table
+    /// decode are amortized: memory accesses are
     /// issued directly from the decoded ops, and uop/instruction
     /// accounting is applied in closed form per lane (integer totals, so
     /// the sums are bit-identical to per-op accumulation).
-    ///
-    /// With an observer attached the batch falls back to materializing
-    /// each [`Instr`] and funnelling it through [`exec`](Self::exec), so
-    /// observers (trace capture) see the identical operation stream.
     ///
     /// # Panics
     ///
     /// Panics if a lane's thread is out of range or its NNZ slice exceeds
     /// `nnz`.
     pub fn exec_batch(&mut self, program: &InstrProgram, lanes: &mut [BatchLane], nnz: &[u8]) {
-        if self.observer.is_some() {
-            self.exec_batch_observed(program, lanes, nnz);
-            return;
-        }
         self.trace_phase_open();
         let max_vecs = lanes.iter().map(|l| l.vectors).max().unwrap_or(0);
         for step in 0..max_vecs {
@@ -313,39 +272,10 @@ impl Machine {
         }
     }
 
-    /// Observed fallback of [`exec_batch`](Self::exec_batch): one
-    /// [`exec`](Self::exec) per materialized instruction, in the identical
-    /// order, so attached observers record the same stream as the
-    /// reference kernels.
-    fn exec_batch_observed(&mut self, program: &InstrProgram, lanes: &mut [BatchLane], nnz: &[u8]) {
-        let unroll = program.unroll();
-        let max_vecs = lanes.iter().map(|l| l.vectors).max().unwrap_or(0);
-        for step in 0..max_vecs {
-            for lane in lanes.iter_mut() {
-                if step >= lane.vectors {
-                    continue;
-                }
-                let n = u32::from(nnz[lane.first_vec + step]);
-                let t = lane.thread;
-                for op in program.ops() {
-                    let instr = op.instr(&lane.cursors, n);
-                    op.advance(&mut lane.cursors, n);
-                    self.exec(t, &instr);
-                }
-                if step.is_multiple_of(unroll) {
-                    self.exec(t, &Instr::LoopOverhead);
-                }
-            }
-        }
-    }
-
     /// Injects `cycles` of analytically-modelled compute time (dense
     /// convolution/GEMM math whose individual FMAs are not traced).
     pub fn charge_compute(&mut self, thread: usize, cycles: f64) {
         self.trace_phase_open();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_charge_compute(thread, cycles);
-        }
         self.extra_compute[thread] += cycles;
     }
 
@@ -354,9 +284,6 @@ impl Machine {
     /// counts are known in closed form.
     pub fn add_uops(&mut self, thread: usize, counts: &zcomp_isa::uops::UopCounts, instrs: u64) {
         self.trace_phase_open();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_add_uops(thread, counts, instrs);
-        }
         let acct = &mut self.threads[thread];
         acct.uops.merge(counts);
         acct.instructions += instrs;
@@ -367,9 +294,6 @@ impl Machine {
     /// analytic layer executor for bulk weight/feature streams).
     pub fn raw_read(&mut self, thread: usize, addr: u64, bytes: u32) {
         self.trace_phase_open();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_raw_access(thread, AccessKind::Read, addr, bytes);
-        }
         let r = self.mem.read(thread, addr, bytes);
         self.threads[thread].access.merge(&r);
     }
@@ -377,9 +301,6 @@ impl Machine {
     /// Performs a demand write without an owning instruction.
     pub fn raw_write(&mut self, thread: usize, addr: u64, bytes: u32) {
         self.trace_phase_open();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_raw_access(thread, AccessKind::Write, addr, bytes);
-        }
         let r = self.mem.write(thread, addr, bytes);
         self.threads[thread].access.merge(&r);
     }
@@ -387,9 +308,6 @@ impl Machine {
     /// Closes the current parallel region: computes its timing, folds it
     /// into the run totals and resets the per-thread accounting.
     pub fn end_phase(&mut self, mode: PhaseMode) -> PhaseReport {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_end_phase(mode);
-        }
         let dram_bytes = self.mem.traffic().dram_bytes - self.dram_bytes_phase_start;
         self.dram_bytes_phase_start = self.mem.traffic().dram_bytes;
         // Inter-level fill traffic of this phase, prefetches included —

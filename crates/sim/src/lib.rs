@@ -49,7 +49,6 @@ pub mod engine;
 pub mod faults;
 pub mod hierarchy;
 pub mod noc;
-pub mod observe;
 pub mod prefetch;
 pub mod stats;
 
@@ -58,5 +57,4 @@ pub use config::SimConfig;
 pub use engine::{Machine, PhaseMode, PhaseReport, RunSummary};
 pub use faults::{FaultConfig, FaultEvent, FaultProbe, FaultSite};
 pub use hierarchy::{AccessResult, MemorySystem, ServedBy};
-pub use observe::{MachineObserver, MEASURE_START};
 pub use stats::{CacheStats, CycleBreakdown, FaultStats, PrefetchStats, TrafficStats};

@@ -37,6 +37,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 
+use crate::crc::crc32;
 use crate::metrics::MetricsDelta;
 
 /// Schema version stamped into every [`FleetEvent::WorkerStart`].
@@ -176,21 +177,6 @@ pub struct EventRecord {
     pub ts_us: u64,
     /// The event payload.
     pub event: FleetEvent,
-}
-
-/// CRC32 (IEEE, reflected) over `bytes`. Self-contained so the trace
-/// crate stays dependency-free — `zcomp-isa` depends on this crate, not
-/// the other way around.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Encodes a record as one stream line (without the trailing newline):
@@ -520,13 +506,6 @@ mod tests {
         assert_eq!(read.records.len(), 1);
         assert!(read.truncated);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[cfg(feature = "events")]

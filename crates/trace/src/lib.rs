@@ -22,6 +22,9 @@
 //!   writer and reader are always compiled (status tools must read any
 //!   stream); the process-wide sink the fabric emits through is gated
 //!   behind the `events` cargo feature, same pattern as the tracer.
+//! * [`crc`] — the workspace's one CRC32, guarding event streams here
+//!   and, through its dependents, codec stream checksums and sweep
+//!   journals.
 //!
 //! Recorded events export to two formats: Chrome `trace_event` JSON
 //! ([`chrome::export`], loadable in Perfetto / `chrome://tracing`) and a
@@ -33,6 +36,7 @@
 //! so CI can fail on a malformed trace.
 
 pub mod chrome;
+pub mod crc;
 pub mod csv;
 pub mod events;
 pub mod log;
